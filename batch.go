@@ -1,12 +1,13 @@
 package finbench
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
 	"finbench/internal/blackscholes"
 	"finbench/internal/layout"
 	"finbench/internal/perf"
-	"finbench/internal/vec"
 )
 
 // OptLevel selects the optimization level of the batch pricing engines,
@@ -69,32 +70,7 @@ func (b *Batch) Len() int { return len(b.Spots) }
 // data layout and instruction mix exactly as the paper's Fig. 4 variants
 // do (and as the wall-clock benchmarks demonstrate).
 func PriceBatch(b *Batch, m Market, level OptLevel) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	mkt := m.internal()
-	switch level {
-	case LevelBasic:
-		aos := layout.NewAOS(b.Len())
-		for i := 0; i < b.Len(); i++ {
-			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
-		}
-		blackscholes.Basic(aos, mkt, vec.MaxWidth, nil)
-		for i := 0; i < b.Len(); i++ {
-			b.Calls[i] = aos.Call(i)
-			b.Puts[i] = aos.Put(i)
-		}
-	case LevelIntermediate, LevelAdvanced:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		if level == LevelIntermediate {
-			blackscholes.Intermediate(soa, mkt, vec.MaxWidth, nil)
-		} else {
-			blackscholes.Advanced(soa, mkt, vec.MaxWidth, nil)
-		}
-	default:
-		return fmt.Errorf("finbench: unknown optimization level %v", level)
-	}
-	return nil
+	return PriceBatchCtx(context.Background(), b, m, level)
 }
 
 // OperationMix is the dynamic operation profile of a batch run, usable
@@ -106,6 +82,15 @@ type OperationMix = perf.Counts
 // KNC); used by the modelling harness and exposed for custom experiments.
 func ProfileBatch(b *Batch, m Market, level OptLevel, width int) (OperationMix, error) {
 	var c perf.Counts
+	err := priceBatch(context.Background(), b, m, level, width, &c)
+	return c, err
+}
+
+// priceBatch is the one level dispatch behind PriceBatchCtx and
+// ProfileBatch: it prices the batch at the given SIMD width, recording the
+// operation mix into c when c is non-nil. Every level leaves the prices in
+// b.Calls/b.Puts.
+func priceBatch(ctx context.Context, b *Batch, m Market, level OptLevel, width int, c *perf.Counts) error {
 	mkt := m.internal()
 	switch level {
 	case LevelBasic:
@@ -113,21 +98,32 @@ func ProfileBatch(b *Batch, m Market, level OptLevel, width int) (OperationMix, 
 		for i := 0; i < b.Len(); i++ {
 			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
 		}
-		blackscholes.Basic(aos, mkt, width, &c)
-		// Copy the prices back so every level leaves the batch in the same
-		// state (the SOA levels write through b.Calls/b.Puts directly).
+		if err := blackscholes.BasicCtx(ctx, aos, mkt, width, c); err != nil {
+			return err
+		}
 		for i := 0; i < b.Len(); i++ {
 			b.Calls[i] = aos.Call(i)
 			b.Puts[i] = aos.Put(i)
 		}
-	case LevelIntermediate:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		blackscholes.Intermediate(soa, mkt, width, &c)
-	case LevelAdvanced:
-		soa := &layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		blackscholes.Advanced(soa, mkt, width, &c)
+		return nil
+	case LevelIntermediate, LevelAdvanced:
+		// The SOA wrapper is five slice headers over the batch's own
+		// storage; pooled because taking its address makes it escape,
+		// which would put one allocation on every serving-tier request.
+		soa := soaPool.Get().(*layout.SOA)
+		*soa = layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
+		var err error
+		if level == LevelIntermediate {
+			err = blackscholes.IntermediateCtx(ctx, soa, mkt, width, c)
+		} else {
+			err = blackscholes.AdvancedCtx(ctx, soa, mkt, width, c)
+		}
+		*soa = layout.SOA{} // drop the slice references before pooling
+		soaPool.Put(soa)
+		return err
 	default:
-		return c, fmt.Errorf("finbench: unknown optimization level %v", level)
+		return fmt.Errorf("finbench: unknown optimization level %v", level)
 	}
-	return c, nil
 }
+
+var soaPool = sync.Pool{New: func() any { return new(layout.SOA) }}

@@ -3,30 +3,28 @@ package finbench
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"finbench/internal/binomial"
 	"finbench/internal/blackscholes"
 	"finbench/internal/cranknicolson"
-	"finbench/internal/layout"
 	"finbench/internal/montecarlo"
 	"finbench/internal/vec"
 	"finbench/internal/workload"
 )
 
-// Cancellable entry points. PriceCtx and PriceBatchCtx are Price and
-// PriceBatch with deadline/cancellation propagation: the context's done
-// signal reaches the kernel loops (Monte Carlo path chunks, Crank-Nicolson
-// time steps, lattice level blocks, closed-form option blocks), so a
-// pricing request whose deadline has passed stops consuming CPU within a
-// bounded amount of work instead of running to completion. A context that
-// carries no cancellation signal (context.Background, context.TODO) takes
-// exactly the plain code path and costs nothing extra.
+// Cancellable entry points. PriceCtx and PriceBatchCtx are the single
+// implementation behind Price and PriceBatch, which call them with
+// context.Background(). The context's done signal reaches the kernel loops
+// (Monte Carlo path chunks, Crank-Nicolson time steps, lattice level
+// blocks, closed-form option blocks), so a pricing request whose deadline
+// has passed stops consuming CPU within a bounded amount of work instead
+// of running to completion. A context that carries no cancellation signal
+// (context.Background, context.TODO) skips every checkpoint.
 //
-// An uncancelled PriceCtx/PriceBatchCtx run is bit-identical to the plain
-// call: the ctx variants check a done channel between work blocks but
-// never change decomposition, iteration order, or arithmetic. On a
-// non-nil error any outputs are partial and must be discarded.
+// Cancellation never changes decomposition, iteration order, or
+// arithmetic: the kernels check a done channel between work blocks, so an
+// uncancelled run is bit-identical whatever the context. On a non-nil
+// error any outputs are partial and must be discarded.
 
 // PriceCtx is Price with cancellation. It returns ctx.Err() (wrapped) if
 // the context is cancelled before or during pricing.
@@ -39,6 +37,14 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 	}
 	c := cfg.withDefaults()
 	mkt := m.internal()
+	americanPut := o.Style == American && o.Type == Put
+	var (
+		price, stdErr float64
+		err           error
+	)
+	// An American call on a non-dividend asset is never exercised early,
+	// so the lattice and finite-difference methods price it as the
+	// European call.
 	switch method {
 	case ClosedForm:
 		if o.Style == American {
@@ -47,77 +53,38 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 		// A single closed-form evaluation is microseconds of work; the
 		// upfront ctx check above is the only checkpoint it needs.
 		call, put := blackscholes.PriceScalar(o.Spot, o.Strike, o.Expiry, mkt)
-		return Result{Price: pick(o.Type, call, put), Method: method}, nil
+		price = pick(o.Type, call, put)
 
 	case BinomialTree:
-		if o.Style == American {
-			if o.Type == Call {
-				v, err := binomial.PriceScalarCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Price: v, Method: method}, nil
-			}
-			v, err := binomial.PriceAmericanPutScalarCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: v, Method: method}, nil
+		if americanPut {
+			price, err = binomial.PriceAmericanPutScalarCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
+			break
 		}
-		call, err := binomial.PriceScalarCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
-		if err != nil {
-			return Result{}, err
+		price, err = binomial.PriceScalarCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
+		if o.Type == Put {
+			// European put from the tree call via parity.
+			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
 		}
-		if o.Type == Call {
-			return Result{Price: call, Method: method}, nil
-		}
-		put := call - o.Spot + o.Strike*discount(m, o.Expiry)
-		return Result{Price: put, Method: method}, nil
 
 	case FiniteDifference:
-		if o.Type == Call && o.Style == American {
-			put, err := cranknicolson.PriceEuropeanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
+		if americanPut {
+			price, err = cranknicolson.PriceAmericanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
+			break
 		}
-		if o.Style == American {
-			v, err := cranknicolson.PriceAmericanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: v, Method: method}, nil
+		// The lattice's European put, plus parity for the call.
+		price, err = cranknicolson.PriceEuropeanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
+		if o.Type == Call {
+			price = price + o.Spot - o.Strike*discount(m, o.Expiry)
 		}
-		put, err := cranknicolson.PriceEuropeanPutCtx(ctx, o.Spot, o.Strike, o.Expiry, c.GridPoints, c.TimeSteps, mkt)
-		if err != nil {
-			return Result{}, err
-		}
-		if o.Type == Put {
-			return Result{Price: put, Method: method}, nil
-		}
-		return Result{Price: put + o.Spot - o.Strike*discount(m, o.Expiry), Method: method}, nil
 
 	case TrinomialTree:
-		steps := c.BinomialSteps
-		switch {
-		case o.Style == American && o.Type == Put:
-			// The American-put trinomial walk has no ctx variant yet; its
-			// runtime matches the European walk, so check once up front and
-			// accept the bounded overrun.
-			return Result{Price: binomial.PriceAmericanPutTrinomial(o.Spot, o.Strike, o.Expiry, steps, mkt), Method: TrinomialTree}, nil
-		case o.Type == Call:
-			v, err := binomial.PriceTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, steps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: v, Method: TrinomialTree}, nil
-		default:
-			call, err := binomial.PriceTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, steps, mkt)
-			if err != nil {
-				return Result{}, err
-			}
-			return Result{Price: call - o.Spot + o.Strike*discount(m, o.Expiry), Method: TrinomialTree}, nil
+		if americanPut {
+			price, err = binomial.PriceAmericanPutTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
+			break
+		}
+		price, err = binomial.PriceTrinomialCtx(ctx, o.Spot, o.Strike, o.Expiry, c.BinomialSteps, mkt)
+		if o.Type == Put {
+			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
 		}
 
 	case MonteCarlo:
@@ -128,18 +95,19 @@ func PriceCtx(ctx context.Context, o Option, m Market, method Method, cfg *Confi
 			S: []float64{o.Spot}, X: []float64{o.Strike}, T: []float64{o.Expiry},
 			Price: make([]float64, 1), StdErr: make([]float64, 1),
 		}
-		if err := montecarlo.VectorizedComputeRNGCtx(ctx, b, c.MCPaths, c.Seed, mkt, 8, 2, nil); err != nil {
-			return Result{}, err
-		}
-		price := b.Price[0]
+		err = montecarlo.VectorizedComputeRNGCtx(ctx, b, c.MCPaths, c.Seed, mkt, 8, 2, nil)
+		price, stdErr = b.Price[0], b.StdErr[0]
 		if o.Type == Put {
 			price = price - o.Spot + o.Strike*discount(m, o.Expiry)
 		}
-		return Result{Price: price, StdErr: b.StdErr[0], Method: method}, nil
 
 	default:
 		return Result{}, fmt.Errorf("finbench: unknown method %v", method)
 	}
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Price: price, StdErr: stdErr, Method: method}, nil
 }
 
 // PriceBatchCtx is PriceBatch with cancellation checked between option
@@ -149,39 +117,5 @@ func PriceBatchCtx(ctx context.Context, b *Batch, m Market, level OptLevel) erro
 	if b.Len() == 0 {
 		return ctx.Err()
 	}
-	mkt := m.internal()
-	switch level {
-	case LevelBasic:
-		aos := layout.NewAOS(b.Len())
-		for i := 0; i < b.Len(); i++ {
-			aos.Set(i, b.Spots[i], b.Strikes[i], b.Expiries[i])
-		}
-		if err := blackscholes.BasicCtx(ctx, aos, mkt, vec.MaxWidth, nil); err != nil {
-			return err
-		}
-		for i := 0; i < b.Len(); i++ {
-			b.Calls[i] = aos.Call(i)
-			b.Puts[i] = aos.Put(i)
-		}
-		return nil
-	case LevelIntermediate, LevelAdvanced:
-		// The SOA wrapper is five slice headers over the batch's own
-		// storage; pooled because taking its address makes it escape,
-		// which would put one allocation on every serving-tier request.
-		soa := soaPool.Get().(*layout.SOA)
-		*soa = layout.SOA{S: b.Spots, X: b.Strikes, T: b.Expiries, Call: b.Calls, Put: b.Puts}
-		var err error
-		if level == LevelIntermediate {
-			err = blackscholes.IntermediateCtx(ctx, soa, mkt, vec.MaxWidth, nil)
-		} else {
-			err = blackscholes.AdvancedCtx(ctx, soa, mkt, vec.MaxWidth, nil)
-		}
-		*soa = layout.SOA{} // drop the slice references before pooling
-		soaPool.Put(soa)
-		return err
-	default:
-		return fmt.Errorf("finbench: unknown optimization level %v", level)
-	}
+	return priceBatch(ctx, b, m, level, vec.MaxWidth, nil)
 }
-
-var soaPool = sync.Pool{New: func() any { return new(layout.SOA) }}

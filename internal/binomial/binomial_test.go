@@ -1,6 +1,8 @@
 package binomial
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -12,6 +14,14 @@ import (
 )
 
 var mkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
+
+// must unwraps a pricing result whose context is never cancelled.
+func must(v float64, err error) float64 {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 // The binomial price must converge to the Black-Scholes closed form as the
 // step count grows (O(1/N) for CRR).
@@ -50,7 +60,7 @@ func TestAmericanPutDominatesEuropean(t *testing.T) {
 		s := 50 + float64(su%100)
 		x := 50 + float64(xu%100)
 		_, euro := blackscholes.PriceScalar(s, x, 1, mkt)
-		amer := PriceAmericanPutScalar(s, x, 1, 512, mkt)
+		amer := must(PriceAmericanPutScalarCtx(context.Background(), s, x, 1, 512, mkt))
 		if amer < euro-0.02 { // binomial discretization tolerance
 			return false
 		}
@@ -64,7 +74,7 @@ func TestAmericanPutDominatesEuropean(t *testing.T) {
 func TestAmericanPutKnownBehaviour(t *testing.T) {
 	// Deep ITM American put should be exercised immediately: value ==
 	// intrinsic.
-	got := PriceAmericanPutScalar(40, 100, 1, 512, mkt)
+	got := must(PriceAmericanPutScalarCtx(context.Background(), 40, 100, 1, 512, mkt))
 	if math.Abs(got-60) > 1e-6 {
 		t.Fatalf("deep ITM American put = %g, want 60", got)
 	}
@@ -284,9 +294,9 @@ func TestTreeGreeksAmericanPut(t *testing.T) {
 	const s, x, tt = 100.0, 110.0, 1.0
 	g := GreeksAmericanPut(s, x, tt, 2048, mkt)
 	h := s * 1e-3
-	up := PriceAmericanPutScalar(s+h, x, tt, 2048, mkt)
-	mid := PriceAmericanPutScalar(s, x, tt, 2048, mkt)
-	dn := PriceAmericanPutScalar(s-h, x, tt, 2048, mkt)
+	up := must(PriceAmericanPutScalarCtx(context.Background(), s+h, x, tt, 2048, mkt))
+	mid := must(PriceAmericanPutScalarCtx(context.Background(), s, x, tt, 2048, mkt))
+	dn := must(PriceAmericanPutScalarCtx(context.Background(), s-h, x, tt, 2048, mkt))
 	if bump := (up - dn) / (2 * h); math.Abs(g.Delta-bump) > 0.01 {
 		t.Fatalf("tree delta %g vs bumped %g", g.Delta, bump)
 	}
@@ -366,5 +376,41 @@ func BenchmarkTwoLevel8192(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AdvancedTwoLevel(a, 8192, mkt, 8, 512, 16, true, nil)
+	}
+}
+
+// cancelledAfterEntry passes the entry check (its first Err is nil) and
+// is cancelled from then on, so only a lattice's in-loop level-block check
+// can stop the walk.
+type cancelledAfterEntry struct {
+	context.Context
+	done chan struct{}
+	errs int
+}
+
+func (c *cancelledAfterEntry) Done() <-chan struct{} { return c.done }
+
+func (c *cancelledAfterEntry) Err() error {
+	c.errs++
+	if c.errs == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// Every lattice's Ctx body checks its done channel inside the level loop,
+// not just on entry.
+func TestLatticeCtxStopsMidWalk(t *testing.T) {
+	for name, price := range map[string]func(context.Context, float64, float64, float64, int, workload.MarketParams) (float64, error){
+		"PriceScalarCtx":               PriceScalarCtx,
+		"PriceAmericanPutScalarCtx":    PriceAmericanPutScalarCtx,
+		"PriceTrinomialCtx":            PriceTrinomialCtx,
+		"PriceAmericanPutTrinomialCtx": PriceAmericanPutTrinomialCtx,
+	} {
+		ctx := &cancelledAfterEntry{Context: context.Background(), done: make(chan struct{})}
+		close(ctx.done)
+		if _, err := price(ctx, 100, 100, 1, 512, mkt); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled from the level loop", name, err)
+		}
 	}
 }

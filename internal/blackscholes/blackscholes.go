@@ -107,8 +107,9 @@ func Basic(a layout.AOS, mkt workload.MarketParams, width int, c *perf.Counts) {
 func BasicCtx(cx context.Context, a layout.AOS, mkt workload.MarketParams, width int, c *perf.Counts) error {
 	done := cx.Done()
 	n := a.Len()
-	run := func(lo, hi int, c *perf.Counts) {
+	err := parallel.ForIndexedMergedCtx(cx, groups(n, width), c, func(_, glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
+		lo, hi := groupRange(glo, ghi, width, n)
 		for blo := lo; blo < hi; blo += ctxBlock {
 			bhi := blo + ctxBlock
 			if bhi > hi {
@@ -137,8 +138,8 @@ func BasicCtx(cx context.Context, a layout.AOS, mkt workload.MarketParams, width
 				a.SetResult(i, call, put)
 			}
 		}
-	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if c != nil {
@@ -146,6 +147,22 @@ func BasicCtx(cx context.Context, a layout.AOS, mkt workload.MarketParams, width
 		c.Items += uint64(n)
 	}
 	return nil
+}
+
+// groups is the number of width-wide SIMD groups covering n options. The
+// SIMD variants split their parallel regions over whole groups, so only
+// the last group of the batch can be partial and the vector/scalar split
+// (and the recorded op mix) does not depend on the worker count.
+func groups(n, width int) int { return (n + width - 1) / width }
+
+// groupRange converts a worker's group range [glo,ghi) into its option
+// range, clipped to the batch length n.
+func groupRange(glo, ghi, width, n int) (lo, hi int) {
+	lo, hi = glo*width, ghi*width
+	if hi > n {
+		hi = n
+	}
+	return lo, hi
 }
 
 // Intermediate prices the SOA batch with SIMD across options: aligned
@@ -156,18 +173,22 @@ func Intermediate(s *layout.SOA, mkt workload.MarketParams, width int, c *perf.C
 
 // IntermediateCtx is Intermediate with cancellation checked every ctxBlock
 // options; an uncancelled run is bit-identical to Intermediate (ctxBlock is
-// a multiple of the width, so the vector/scalar-tail split per worker chunk
-// is unchanged). On a non-nil return the batch outputs are partial.
+// a multiple of the width, so blocking does not move the vector/scalar-tail
+// split). On a non-nil return the batch outputs are partial.
 func IntermediateCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, width int, c *perf.Counts) error {
 	done := cx.Done()
 	n := s.Len()
 	r, sig := mkt.R, mkt.Sigma
 	sig22 := sig * sig / 2
-	run := func(lo, hi int, c *perf.Counts) {
+	// Loop-invariant constants are broadcast once per call, not per
+	// worker, so the recorded op mix does not depend on the worker count.
+	k := vec.New(width, c)
+	half := k.Broadcast(0.5)
+	one := k.Broadcast(1)
+	invSqrt2 := k.Broadcast(mathx.InvSqrt2)
+	err := parallel.ForIndexedMergedCtx(cx, groups(n, width), c, func(_, glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
-		half := ctx.Broadcast(0.5)
-		one := ctx.Broadcast(1)
-		invSqrt2 := ctx.Broadcast(mathx.InvSqrt2)
+		lo, hi := groupRange(glo, ghi, width, n)
 		for blo := lo; blo < hi; blo += ctxBlock {
 			bhi := blo + ctxBlock
 			if bhi > hi {
@@ -205,8 +226,8 @@ func IntermediateCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParam
 				s.Put[i] = put
 			}
 		}
-	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
+	})
+	if err != nil {
 		return err
 	}
 	if c != nil {
@@ -281,7 +302,7 @@ func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, w
 	n := s.Len()
 	r, sig := mkt.R, mkt.Sigma
 	sig22 := sig * sig / 2
-	if n <= VMLChunk && c == nil {
+	if n <= VMLChunk {
 		// Single-chunk serial fast path: the serving tier's common case.
 		// A one-chunk region has exactly one cancellation check, which
 		// the entry check below provides, so no fork-join structure (and
@@ -294,75 +315,66 @@ func AdvancedCtx(cx context.Context, s *layout.SOA, mkt workload.MarketParams, w
 		sc := vmlScratchPool.Get().(*vmlScratch)
 		advancedChunk(s, 0, n, r, sig, sig22, sc)
 		vmlScratchPool.Put(sc)
-		return nil
-	}
-	run := func(lo, hi int, c *perf.Counts) {
-		// Per-worker scratch (cache-resident intermediates), pooled so a
-		// steady request stream prices without per-call slice allocations.
-		sc := vmlScratchPool.Get().(*vmlScratch)
-		defer vmlScratchPool.Put(sc)
-		for base := lo; base < hi; base += VMLChunk {
-			if done != nil {
-				select {
-				case <-done:
-					return
-				default:
+	} else {
+		err := parallel.ForCtx(cx, n, func(lo, hi int) {
+			// Per-worker scratch (cache-resident intermediates), pooled so
+			// a steady request stream prices without per-call slice
+			// allocations.
+			sc := vmlScratchPool.Get().(*vmlScratch)
+			defer vmlScratchPool.Put(sc)
+			for base := lo; base < hi; base += VMLChunk {
+				if done != nil {
+					select {
+					case <-done:
+						return
+					default:
+					}
 				}
+				m := hi - base
+				if m > VMLChunk {
+					m = VMLChunk
+				}
+				advancedChunk(s, base, m, r, sig, sig22, sc)
 			}
-			m := hi - base
-			if m > VMLChunk {
-				m = VMLChunk
-			}
-			advancedChunk(s, base, m, r, sig, sig22, sc)
-		}
-		if c != nil {
-			// VML mix per option (vector-instruction counts per `width`
-			// options): the transcendentals, one divide, and the extra
-			// loads/stores of streaming intermediates through cache.
-			un := uint64(hi - lo)
-			uw := uint64(width)
-			// VML's long-array transcendentals amortize the per-call setup
-			// of the SVML kernels (~15%), the reason "using the Intel VML
-			// is more efficient on SNB-EP" (Sec. IV-A3); the extra
-			// intermediate-array traffic below is what cancels the benefit
-			// on KNC.
-			disc := func(n uint64) uint64 { return n * 17 / 20 }
-			c.Add(perf.OpLog, disc(un))
-			c.Add(perf.OpSqrt, disc(un))
-			c.Add(perf.OpExp, disc(un))
-			c.Add(perf.OpErf, disc(2*un))
-			vecIters := un / uw
-			c.Add(perf.OpVecDiv, 2*vecIters)
-			c.Add(perf.OpVecMul, 10*vecIters)
-			c.Add(perf.OpVecAdd, 7*vecIters)
-			c.Add(perf.OpVecFMA, 2*vecIters)
-			// Intermediate arrays are re-loaded/stored by each VML pass:
-			// ~12 extra vector loads and ~8 stores per vector of options.
-			c.Add(perf.OpVecLoad, 12*vecIters)
-			c.Add(perf.OpVecStore, 8*vecIters)
-			if c.Width == 0 {
-				c.Width = width
-			}
+		})
+		if err != nil {
+			return err
 		}
 	}
-	if err := runParallelCtx(cx, n, c, run); err != nil {
-		return err
-	}
-	if c != nil {
-		c.AddBytes(uint64(24*n), uint64(16*n))
-		c.Items += uint64(n)
+	if c != nil && n > 0 {
+		countAdvanced(c, n, width)
 	}
 	return nil
 }
 
-// runParallelCtx splits [0,n) across cancellable workers, giving each a
-// private counter merged at the end (counter-free runs go straight
-// through). A Background context takes the same path as the plain loops.
-func runParallelCtx(cx context.Context, n int, c *perf.Counts, run func(lo, hi int, c *perf.Counts)) error {
-	if c == nil {
-		return parallel.ForCtx(cx, n, func(lo, hi int) { run(lo, hi, nil) })
+// countAdvanced records the VML op mix of an n-option Advanced run, once
+// per call so the counts do not depend on how the options were split
+// across workers: vector-instruction counts per `width` options for the
+// transcendentals, one divide, and the extra loads/stores of streaming
+// intermediates through cache.
+func countAdvanced(c *perf.Counts, n, width int) {
+	un := uint64(n)
+	// VML's long-array transcendentals amortize the per-call setup of the
+	// SVML kernels (~15%), the reason "using the Intel VML is more
+	// efficient on SNB-EP" (Sec. IV-A3); the extra intermediate-array
+	// traffic below is what cancels the benefit on KNC.
+	disc := func(n uint64) uint64 { return n * 17 / 20 }
+	c.Add(perf.OpLog, disc(un))
+	c.Add(perf.OpSqrt, disc(un))
+	c.Add(perf.OpExp, disc(un))
+	c.Add(perf.OpErf, disc(2*un))
+	vecIters := un / uint64(width)
+	c.Add(perf.OpVecDiv, 2*vecIters)
+	c.Add(perf.OpVecMul, 10*vecIters)
+	c.Add(perf.OpVecAdd, 7*vecIters)
+	c.Add(perf.OpVecFMA, 2*vecIters)
+	// Intermediate arrays are re-loaded/stored by each VML pass: ~12
+	// extra vector loads and ~8 stores per vector of options.
+	c.Add(perf.OpVecLoad, 12*vecIters)
+	c.Add(perf.OpVecStore, 8*vecIters)
+	if c.Width == 0 {
+		c.Width = width
 	}
-	return parallel.ForIndexedMergedCtx(cx, n, c, func(_, lo, hi int, local *perf.Counts) {
-		run(lo, hi, local)
-	})
+	c.AddBytes(uint64(24*n), uint64(16*n))
+	c.Items += un
 }

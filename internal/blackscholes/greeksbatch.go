@@ -35,12 +35,15 @@ func GreeksBatch(s *layout.SOA, out *GreeksSOA, mkt workload.MarketParams, width
 	n := s.Len()
 	r, sig := mkt.R, mkt.Sigma
 	sig22 := sig * sig / 2
-	run := func(lo, hi int, c *perf.Counts) {
+	// Constants are broadcast once per call (see IntermediateCtx).
+	k := vec.New(width, c)
+	one := k.Broadcast(1)
+	half := k.Broadcast(0.5)
+	invSqrt2 := k.Broadcast(mathx.InvSqrt2)
+	invSqrt2Pi := k.Broadcast(mathx.InvSqrt2Pi)
+	parallel.ForIndexedMerged(groups(n, width), c, func(_, glo, ghi int, c *perf.Counts) {
 		ctx := vec.New(width, c)
-		one := ctx.Broadcast(1)
-		half := ctx.Broadcast(0.5)
-		invSqrt2 := ctx.Broadcast(mathx.InvSqrt2)
-		invSqrt2Pi := ctx.Broadcast(mathx.InvSqrt2Pi)
+		lo, hi := groupRange(glo, ghi, width, n)
 		i := lo
 		for ; i+width <= hi; i += width {
 			sp := ctx.Load(s.S, i)
@@ -65,13 +68,8 @@ func GreeksBatch(s *layout.SOA, out *GreeksSOA, mkt workload.MarketParams, width
 			out.Gamma[i] = g.Gamma
 			out.Vega[i] = g.Vega
 		}
-	}
-	if c == nil {
-		parallel.For(n, func(lo, hi int) { run(lo, hi, nil) })
-	} else {
-		parallel.ForIndexedMerged(n, c, func(_, lo, hi int, local *perf.Counts) {
-			run(lo, hi, local)
-		})
+	})
+	if c != nil {
 		c.AddBytes(uint64(24*n), uint64(32*n))
 		c.Items += uint64(n)
 	}

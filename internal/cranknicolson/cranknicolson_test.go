@@ -1,6 +1,7 @@
 package cranknicolson
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,13 +13,21 @@ import (
 
 var mkt = workload.MarketParams{R: 0.05, Sigma: 0.2}
 
+// must unwraps a pricing result whose context is never cancelled.
+func must(v float64, err error) float64 {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // The European mode must converge to the Black-Scholes put.
 func TestEuropeanConvergesToBlackScholes(t *testing.T) {
 	for _, tc := range []struct{ s, x, tt float64 }{
 		{100, 100, 1}, {100, 110, 0.5}, {90, 100, 2},
 	} {
 		_, want := blackscholes.PriceScalar(tc.s, tc.x, tc.tt, mkt)
-		got := PriceEuropeanPut(tc.s, tc.x, tc.tt, 512, 1000, mkt)
+		got := must(PriceEuropeanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs BS %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -30,8 +39,8 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 	for _, tc := range []struct{ s, x, tt float64 }{
 		{100, 100, 1}, {100, 110, 0.5}, {110, 100, 1.5},
 	} {
-		want := binomial.PriceAmericanPutScalar(tc.s, tc.x, tc.tt, 2048, mkt)
-		got := PriceAmericanPut(tc.s, tc.x, tc.tt, 512, 1000, mkt)
+		want := must(binomial.PriceAmericanPutScalarCtx(context.Background(), tc.s, tc.x, tc.tt, 2048, mkt))
+		got := must(PriceAmericanPutCtx(context.Background(), tc.s, tc.x, tc.tt, 512, 1000, mkt))
 		if math.Abs(got-want) > 0.02*math.Max(1, want) {
 			t.Fatalf("S=%g X=%g T=%g: CN %g vs binomial %g", tc.s, tc.x, tc.tt, got, want)
 		}
@@ -41,8 +50,8 @@ func TestAmericanMatchesBinomial(t *testing.T) {
 // American value must dominate European and intrinsic.
 func TestAmericanDominance(t *testing.T) {
 	for _, spot := range []float64{80, 95, 100, 110, 130} {
-		amer := PriceAmericanPut(spot, 100, 1, 256, 500, mkt)
-		euro := PriceEuropeanPut(spot, 100, 1, 256, 500, mkt)
+		amer := must(PriceAmericanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
+		euro := must(PriceEuropeanPutCtx(context.Background(), spot, 100, 1, 256, 500, mkt))
 		if amer < euro-1e-6 {
 			t.Fatalf("S=%g: American %g < European %g", spot, amer, euro)
 		}

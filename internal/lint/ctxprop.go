@@ -17,9 +17,11 @@ import (
 // prevent.
 //
 // The entry-point table lives in entrypoints.go, shared with rngshare.
-// Callers inside the root finbench package itself are exempt: the *Ctx
-// wrappers are the API boundary and legitimately delegate to the plain
-// kernels after arranging cancellation.
+// Callers inside the root finbench package itself are exempt: it is the
+// API boundary that defines the entry points, and each plain entry point
+// there is a single call of its *Ctx form with context.Background(), so
+// the pass reports the plain wrapper at its call sites outside the
+// package.
 func ctxpropPass() *Pass {
 	return &Pass{
 		Name:   "ctxprop",

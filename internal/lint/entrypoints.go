@@ -121,6 +121,7 @@ var kernelEntryCtx = map[string]string{
 	rootPkgPath + ".Price":                                  rootPkgPath + ".PriceCtx",
 	rootPkgPath + ".PriceBatch":                             rootPkgPath + ".PriceBatchCtx",
 	rootPkgPath + ".PriceBatchGrid":                         rootPkgPath + ".PriceBatchGridCtx",
+	rootPkgPath + ".PriceTrinomial":                         rootPkgPath + ".PriceCtx",
 	"(*" + rootPkgPath + ".PathSimulator).Simulate":         "",
 	"(*" + rootPkgPath + ".PathSimulator).SimulateTerminal": "",
 }

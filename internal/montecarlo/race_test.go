@@ -43,8 +43,8 @@ func TestRaceConcurrentBatchPricing(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRaceCountsMerge exercises the mutex-guarded perf.Counts merge path
-// (runParallel with a non-nil counter) concurrently: each goroutine owns
+// TestRaceCountsMerge exercises the per-worker perf.Counts merge path
+// (parallel.ForIndexedMerged with a non-nil counter) concurrently: each goroutine owns
 // its counter, while the kernel's internal workers merge into it.
 func TestRaceCountsMerge(t *testing.T) {
 	z := normals(1<<10, 5)

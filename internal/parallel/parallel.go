@@ -206,13 +206,9 @@ func ForIndexed(n int, fn func(worker, lo, hi int)) {
 // order (not completion order) keeps the merged state deterministic, and
 // the lock disappears from the worker path entirely. A nil c runs fn with
 // nil counts (counting disabled), preserving the kernels' uncounted fast
-// path.
+// path; the chunks are ForIndexed's either way.
 func ForIndexedMerged(n int, c *perf.Counts, fn func(worker, lo, hi int, c *perf.Counts)) {
 	if n <= 0 || fn == nil {
-		return
-	}
-	if c == nil {
-		ForIndexed(n, func(worker, lo, hi int) { fn(worker, lo, hi, nil) })
 		return
 	}
 	workers := Workers()
@@ -226,14 +222,21 @@ func ForIndexedMerged(n int, c *perf.Counts, fn func(worker, lo, hi int, c *perf
 	}
 	chunk := (n + workers - 1) / workers
 	slots := (n + chunk - 1) / chunk
-	locals := make([]perf.Counts, slots)
+	var locals []perf.Counts
+	if c != nil {
+		locals = make([]perf.Counts, slots)
+	}
 	defaultPool.run(slots, func(slot int) {
 		lo := slot * chunk
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		fn(slot, lo, hi, &locals[slot])
+		var local *perf.Counts
+		if locals != nil {
+			local = &locals[slot]
+		}
+		fn(slot, lo, hi, local)
 	})
 	for i := range locals {
 		c.Merge(locals[i])

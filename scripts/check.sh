@@ -4,7 +4,7 @@
 # Runs, in order: go vet, go build, the benchreg performance gate (a
 # fresh short-mode snapshot checked against the committed baseline
 # BENCH_0.json; see README "Continuous benchmarking"), the tier-1 test
-# suite, the race detector over the concurrency-heavy packages, the fuzz
+# suite at GOMAXPROCS=1, 2 and 4, the race detector over the concurrency-heavy packages, the fuzz
 # seed corpora, the finserve e2e smoke gate (scripts/e2e_smoke.sh; see
 # README "Serving"), the chaos smoke gate (scripts/chaos_smoke.sh; the
 # sharded router under seeded fault injection and a replica kill — see
@@ -61,8 +61,15 @@ if ! bench_gate; then
 	bench_gate
 fi
 
-echo "==> tier-1: go test ./..."
-go test -timeout 10m ./...
+# Tier-1 runs at several worker counts: the kernels' parallel regions
+# must give the same results at any GOMAXPROCS, and a 1-CPU run alone
+# never splits a batch across workers. Each leg uses -count=1 because the
+# go test cache does not key on GOMAXPROCS — a cached pass from one
+# worker count would be reported for another.
+for procs in 1 2 4; do
+	echo "==> tier-1: GOMAXPROCS=$procs go test -count=1 ./..."
+	GOMAXPROCS=$procs go test -count=1 -timeout 10m ./...
+done
 
 if [[ "${CHECK_QUICK:-0}" == "1" ]]; then
 	echo "==> CHECK_QUICK=1: skipping race detector, fuzz seed, e2e and chaos smoke stages"
