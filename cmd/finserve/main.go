@@ -51,6 +51,7 @@ import (
 	"finbench/internal/serve"
 	"finbench/internal/serve/loadgen"
 	"finbench/internal/serve/stream"
+	"finbench/internal/serve/wire"
 )
 
 func main() {
@@ -317,7 +318,7 @@ func runLoadgen(args []string) int {
 		Mix:               mix,
 		OptionsPerRequest: *optsPerReq,
 		DeadlineMS:        *deadlineMS,
-		Config: serve.WireConfig{
+		Config: wire.Config{
 			MCPaths:       *mcPaths,
 			BinomialSteps: *binSteps,
 			GridPoints:    *gridPoints,

@@ -97,6 +97,9 @@ func (a *admission) acquire(units int64, wait time.Duration) (int64, bool) {
 				break
 			}
 		}
+		// The leaver may have been the head blocking smaller waiters
+		// that fit now.
+		a.grantLocked()
 		a.mu.Unlock()
 		return 0, false
 	}
@@ -106,13 +109,19 @@ func (a *admission) acquire(units int64, wait time.Duration) (int64, bool) {
 func (a *admission) release(units int64) {
 	a.mu.Lock()
 	a.cur -= units
+	a.grantLocked()
+	a.mu.Unlock()
+}
+
+// grantLocked admits queued waiters in FIFO order while the head fits.
+// Callers hold a.mu.
+func (a *admission) grantLocked() {
 	for len(a.q) > 0 && a.cur+a.q[0].units <= a.max {
 		w := a.q[0]
 		a.q = a.q[1:]
 		a.cur += w.units
 		close(w.ready)
 	}
-	a.mu.Unlock()
 }
 
 // inFlight returns the units currently held.

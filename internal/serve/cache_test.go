@@ -9,6 +9,7 @@ import (
 
 	"finbench"
 	"finbench/internal/serve/pricecache"
+	"finbench/internal/serve/wire"
 )
 
 func cacheConfig() Config {
@@ -19,10 +20,10 @@ func cacheConfig() Config {
 	}
 }
 
-func priceBody(n int) *PriceRequest {
-	req := &PriceRequest{Options: make([]WireOption, n)}
+func priceBody(n int) *wire.PriceRequest {
+	req := &wire.PriceRequest{Options: make([]wire.Option, n)}
 	for i := range req.Options {
-		req.Options[i] = WireOption{Spot: 100 + float64(i), Strike: 100, Expiry: 1}
+		req.Options[i] = wire.Option{Spot: 100 + float64(i), Strike: 100, Expiry: 1}
 	}
 	return req
 }
@@ -219,12 +220,12 @@ func TestCacheKeyMatchesDigestCanonicalization(t *testing.T) {
 	defer s.Close()
 	var base finbench.Config
 	cfg := base.Resolved()
-	a := &PriceRequest{Options: []WireOption{{Type: "call", Style: "european", Spot: 100, Strike: 95, Expiry: 1}}}
-	b := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 95, Expiry: 1}}}
+	a := &wire.PriceRequest{Options: []wire.Option{{Type: "call", Style: "european", Spot: 100, Strike: 95, Expiry: 1}}}
+	b := &wire.PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 95, Expiry: 1}}}
 	if s.cacheKey(a, cfg) != s.cacheKey(b, cfg) {
 		t.Fatal("canonically equal requests keyed differently")
 	}
-	c := &PriceRequest{Options: []WireOption{{Type: "put", Spot: 100, Strike: 95, Expiry: 1}}}
+	c := &wire.PriceRequest{Options: []wire.Option{{Type: "put", Spot: 100, Strike: 95, Expiry: 1}}}
 	if s.cacheKey(a, cfg) == s.cacheKey(c, cfg) {
 		t.Fatal("put keyed same as call")
 	}

@@ -132,9 +132,9 @@ func TestGreeksDeadlineCancelledClient(t *testing.T) {
 
 func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := postJSON(t, ts.URL+"/greeks", &GreeksRequest{
+	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: -5,
-		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
+		Options:    []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400; body %s", resp.StatusCode, body)
@@ -150,9 +150,9 @@ func TestGreeksRejectsNegativeDeadline(t *testing.T) {
 // so the expired deadline is observed deterministically.
 func TestGreeksDeadlineCappedByServerMax(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxDeadline: time.Nanosecond})
-	resp, body := postJSON(t, ts.URL+"/greeks", &GreeksRequest{
+	resp, body := postJSON(t, ts.URL+"/greeks", &wire.GreeksRequest{
 		DeadlineMS: 60000,
-		Options:    []WireOption{{Spot: 100, Strike: 100, Expiry: 1}},
+		Options:    []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}},
 	})
 	if resp.StatusCode != http.StatusRequestTimeout {
 		t.Fatalf("status %d, want 408; body %s", resp.StatusCode, body)
@@ -171,15 +171,15 @@ var columnarTestContracts = struct {
 	types:    "cpcp",
 }
 
-func columnarAOSRequest() *PriceRequest {
+func columnarAOSRequest() *wire.PriceRequest {
 	c := columnarTestContracts
-	req := &PriceRequest{}
+	req := &wire.PriceRequest{}
 	for i := range c.spots {
 		typ := "call"
 		if c.types[i] == 'p' {
 			typ = "put"
 		}
-		req.Options = append(req.Options, WireOption{
+		req.Options = append(req.Options, wire.Option{
 			Type: typ, Spot: c.spots[i], Strike: c.strikes[i], Expiry: c.expiries[i],
 		})
 	}
@@ -216,7 +216,7 @@ func TestPriceColumnarBitIdenticalToJSON(t *testing.T) {
 
 			// JSON-framed columnar.
 			colResp, colBody := postJSON(t, ts.URL+"/price",
-				&PriceRequest{Columnar: columnarColumns()})
+				&wire.PriceRequest{Columnar: columnarColumns()})
 			if colResp.StatusCode != 200 {
 				t.Fatalf("JSON columnar status %d: %s", colResp.StatusCode, colBody)
 			}

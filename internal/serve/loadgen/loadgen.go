@@ -45,7 +45,7 @@ type Options struct {
 	// DeadlineMS is sent as deadline_ms when > 0.
 	DeadlineMS int64
 	// Config overrides the numeric parameters sent with each request.
-	Config serve.WireConfig
+	Config wire.Config
 	// Verify recomputes every 200 response against the library and counts
 	// mismatches.
 	Verify bool
@@ -243,8 +243,8 @@ func mixTable(mix map[string]int) []string {
 // per pricing method in the mix, each batch drawn from a rng seeded only
 // by (seed, method, rank) so the hot set is identical across runs and
 // across workers.
-func batchPools(o Options, table []string) map[string][][]serve.WireOption {
-	pools := make(map[string][][]serve.WireOption)
+func batchPools(o Options, table []string) map[string][][]wire.Option {
+	pools := make(map[string][][]wire.Option)
 	for _, method := range table {
 		if method == "greeks" || pools[method] != nil {
 			continue
@@ -254,7 +254,7 @@ func batchPools(o Options, table []string) map[string][][]serve.WireOption {
 			methodSalt = methodSalt*131 + int64(c)
 		}
 		rng := rand.New(rand.NewSource(o.Seed ^ methodSalt))
-		pool := make([][]serve.WireOption, o.ZipfPool)
+		pool := make([][]wire.Option, o.ZipfPool)
 		for r := range pool {
 			pool[r] = randomOptions(rng, o.OptionsPerRequest, method)
 		}
@@ -296,7 +296,7 @@ func Run(o Options) (*Report, error) {
 	client := &http.Client{Timeout: o.Timeout}
 
 	var (
-		pools map[string][][]serve.WireOption
+		pools map[string][][]wire.Option
 		cdf   []float64
 	)
 	if o.ZipfPool > 0 {
@@ -334,7 +334,7 @@ func Run(o Options) (*Report, error) {
 					code, outcome, err = o.doScenario(client, rng, market)
 				} else {
 					method := table[rng.Intn(len(table))]
-					var batch []serve.WireOption
+					var batch []wire.Option
 					if pools != nil && method != "greeks" {
 						batch = pools[method][zipfRank(rng, cdf)]
 					}
@@ -443,7 +443,7 @@ func errKey(err error) string {
 
 // doRequest sends one pricing request: batch overrides the contract set
 // (Zipf pool mode); nil draws fresh random contracts.
-func (o Options) doRequest(client *http.Client, rng *rand.Rand, method string, batch []serve.WireOption, mkt finbench.Market) (int, reqOutcome, error) {
+func (o Options) doRequest(client *http.Client, rng *rand.Rand, method string, batch []wire.Option, mkt finbench.Market) (int, reqOutcome, error) {
 	var out reqOutcome
 	if method == "greeks" {
 		return o.doGreeks(client, rng, mkt)
@@ -455,7 +455,7 @@ func (o Options) doRequest(client *http.Client, rng *rand.Rand, method string, b
 		// Columnar is closed-form-only; the rest of the mix stays JSON.
 		return o.doColumnar(client, batch, mkt)
 	}
-	req := serve.PriceRequest{
+	req := wire.PriceRequest{
 		Method:     method,
 		Options:    batch,
 		Config:     o.Config,
@@ -482,7 +482,7 @@ func (o Options) doRequest(client *http.Client, rng *rand.Rand, method string, b
 	if resp.StatusCode != http.StatusOK {
 		return resp.StatusCode, out, nil
 	}
-	var pr serve.PriceResponse
+	var pr wire.PriceResponse
 	if err := json.Unmarshal(buf.Bytes(), &pr); err != nil {
 		return resp.StatusCode, out, fmt.Errorf("decoding 200 body: %w", err)
 	}
@@ -503,7 +503,7 @@ func (o Options) doRequest(client *http.Client, rng *rand.Rand, method string, b
 // it recomputes every price from the library AND replays the same
 // contracts as a JSON AOS request, requiring the two 200s bit-identical:
 // the framing must be invisible in the numbers.
-func (o Options) doColumnar(client *http.Client, batch []serve.WireOption, mkt finbench.Market) (int, reqOutcome, error) {
+func (o Options) doColumnar(client *http.Client, batch []wire.Option, mkt finbench.Market) (int, reqOutcome, error) {
 	var out reqOutcome
 	cols := wire.Columns{
 		Spots:    make([]float64, len(batch)),
@@ -550,7 +550,7 @@ func (o Options) doColumnar(client *http.Client, batch []serve.WireOption, mkt f
 	if !o.Verify {
 		return resp.StatusCode, out, nil
 	}
-	jreq := serve.PriceRequest{Options: batch, DeadlineMS: o.DeadlineMS}
+	jreq := wire.PriceRequest{Options: batch, DeadlineMS: o.DeadlineMS}
 	v, m := verifyResponse(&jreq, pr, mkt)
 	out.verified, out.mismatch = v, m
 
@@ -568,7 +568,7 @@ func (o Options) doColumnar(client *http.Client, batch []serve.WireOption, mkt f
 		// Shed/overload on the replay is not a framing mismatch.
 		return resp.StatusCode, out, nil
 	}
-	var jr serve.PriceResponse
+	var jr wire.PriceResponse
 	if err := json.NewDecoder(jresp.Body).Decode(&jr); err != nil {
 		return resp.StatusCode, out, fmt.Errorf("decoding cross-check body: %w", err)
 	}
@@ -594,7 +594,7 @@ func (o Options) doColumnar(client *http.Client, batch []serve.WireOption, mkt f
 
 func (o Options) doGreeks(client *http.Client, rng *rand.Rand, mkt finbench.Market) (int, reqOutcome, error) {
 	var out reqOutcome
-	req := serve.GreeksRequest{Options: randomOptions(rng, o.OptionsPerRequest, "greeks")}
+	req := wire.GreeksRequest{Options: randomOptions(rng, o.OptionsPerRequest, "greeks")}
 	body, err := json.Marshal(&req)
 	if err != nil {
 		return 0, out, err
@@ -615,7 +615,7 @@ func (o Options) doGreeks(client *http.Client, rng *rand.Rand, mkt finbench.Mark
 	if !o.Verify {
 		return resp.StatusCode, out, nil
 	}
-	var gr serve.GreeksResponse
+	var gr wire.GreeksResponse
 	if err := json.Unmarshal(buf.Bytes(), &gr); err != nil {
 		return resp.StatusCode, out, fmt.Errorf("decoding greeks body: %w", err)
 	}
@@ -642,8 +642,8 @@ func (o Options) doGreeks(client *http.Client, rng *rand.Rand, mkt finbench.Mark
 
 // randomOptions draws plausible contracts. Lattice methods get a share of
 // American puts; European-only methods stay European.
-func randomOptions(rng *rand.Rand, n int, method string) []serve.WireOption {
-	opts := make([]serve.WireOption, n)
+func randomOptions(rng *rand.Rand, n int, method string) []wire.Option {
+	opts := make([]wire.Option, n)
 	for i := range opts {
 		o := &opts[i]
 		o.Spot = 50 + 100*rng.Float64()
@@ -667,8 +667,8 @@ func randomOptions(rng *rand.Rand, n int, method string) []serve.WireOption {
 // LevelAdvanced batch — composition independence makes that equal to
 // whatever mega-batch the server coalesced the request into; everything
 // else goes through finbench.Price.
-func verifyResponse(req *serve.PriceRequest, resp *serve.PriceResponse, mkt finbench.Market) (verified, mismatch int) {
-	method, err := serve.ParseMethod(resp.Method)
+func verifyResponse(req *wire.PriceRequest, resp *wire.PriceResponse, mkt finbench.Market) (verified, mismatch int) {
+	method, err := wire.ParseMethod(resp.Method)
 	if err != nil || len(resp.Results) != len(req.Options) {
 		return 0, len(req.Options)
 	}

@@ -1,14 +1,11 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
 	"finbench/internal/scenario"
-	"finbench/internal/serve/deadline"
 	"finbench/internal/serve/wire"
 )
 
@@ -25,29 +22,15 @@ import (
 func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.stats.scenarioRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !s.door(w, r, http.MethodPost) {
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
-		return
-	}
-	buf := wire.GetBuffer()
-	body, err := readBody(r, buf)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
 	var req scenario.Request
-	err = json.Unmarshal(body, &req)
+	err := json.Unmarshal(buf.B, &req)
 	wire.PutBuffer(buf)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, "decoding scenario request: "+err.Error())
@@ -66,35 +49,23 @@ func (s *Server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	// Admission cost: one unit per (cell, position) valuation, like one
 	// unit per closed-form option on /price.
 	rangeStart, cells := req.Range()
-	units, ok := s.adm.acquire(int64(cells)*int64(len(req.Portfolio)), s.cfg.AdmitWait)
-	if !ok {
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
+	units, err := s.admit(int64(cells) * int64(len(req.Portfolio)))
+	if err != nil {
+		s.fail(w, err, "scenario")
 		return
 	}
-	s.deg.noteAdmit()
 	defer s.adm.release(units)
-
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
+	dctx := s.deadlineCtx(r, req.DeadlineMS)
 	defer dctx.Release()
 
 	base, pnl, err := scenario.EvaluateCells(dctx, &req, s.cfg.Market, rangeStart, cells)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeError(w, http.StatusRequestTimeout, "scenario deadline exceeded")
-		} else {
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
+		s.fail(w, err, "scenario")
 		return
 	}
 	s.stats.scenarioCells.Add(uint64(cells))
 	s.stats.observeLatency("scenario", time.Since(start))
-	s.writeJSON(w, http.StatusOK, scenario.Finalize(&req, base, rangeStart, pnl))
+	// json.Marshal plus the newline is exactly json.Encoder's output.
+	body, err := json.Marshal(scenario.Finalize(&req, base, rangeStart, pnl))
+	s.writeOK(w, headerJSON, append(body, '\n'), err == nil)
 }

@@ -16,7 +16,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -25,7 +24,6 @@ import (
 
 	"finbench"
 	"finbench/internal/serve/coalesce"
-	"finbench/internal/serve/deadline"
 	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/stream"
 	"finbench/internal/serve/wire"
@@ -248,73 +246,25 @@ func (s *Server) Close() {
 	}
 }
 
-// maxBody bounds request bodies (an option is ~90 JSON bytes; 64MB covers
-// the largest permitted batch with slack).
-const maxBody = 64 << 20
-
-// readBody reads the request body into a pooled buffer with the same
-// semantics as io.ReadAll(io.LimitReader(r.Body, maxBody)): bytes beyond
-// maxBody are silently dropped (the truncated body then fails decode).
-func readBody(r *http.Request, buf *wire.Buffer) ([]byte, error) {
-	b := buf.B[:0]
-	for {
-		if len(b) == cap(b) {
-			b = append(b, 0)[:len(b)]
-		}
-		room := cap(b) - len(b)
-		if rem := maxBody - len(b); room > rem {
-			room = rem
-		}
-		if room == 0 {
-			buf.B = b
-			return b, nil
-		}
-		n, err := r.Body.Read(b[len(b) : len(b)+room])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			buf.B = b
-			return b, nil
-		}
-		if err != nil {
-			buf.B = b
-			return b, err
-		}
-	}
-}
-
 func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.stats.priceRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !s.door(w, r, http.MethodPost) {
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
-		return
-	}
-	buf := wire.GetBuffer()
-	body, err := readBody(r, buf)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return
-	}
-	// DecodeRequest resolves the method while parsing (satellite of the
-	// old decode-then-reparse, which discarded the second parse's error).
+	// Decoding resolves the method in the same parse.
 	var req *wire.PriceRequest
 	var method finbench.Method
+	var err error
 	binaryFraming := r.Header.Get("Content-Type") == wire.ColumnarContentType
 	if binaryFraming {
-		req, method, err = wire.DecodeColumnarRequest(body)
+		req, method, err = wire.DecodeColumnarRequest(buf.B)
 	} else {
-		req, method, err = wire.DecodeRequest(body)
+		req, method, err = wire.DecodeRequest(buf.B)
 	}
 	wire.PutBuffer(buf)
 	if err != nil {
@@ -363,64 +313,48 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(pricecache.Header, "bypass")
 	}
 
-	// Admission: acquire the request's work units or shed fast.
-	units, ok := s.adm.acquire(unitCost(method, cfg, n), s.cfg.AdmitWait)
-	if !ok {
+	// Admission comes before the deadline is acquired, so the deadline
+	// window excludes the admission wait.
+	units, err := s.admit(unitCost(method, cfg, n))
+	if err != nil {
 		wire.PutRequest(req)
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
+		s.fail(w, err, "pricing")
 		return
 	}
-	s.deg.noteAdmit()
 	defer s.adm.release(units)
-
-	// Deadline: client's, capped by the server maximum.
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
+	dctx := s.deadlineCtx(r, req.DeadlineMS)
 	defer dctx.Release()
 
-	resp := wire.GetPriceResponse()
-	resp.Method = method.String()
-	resp.Config = wire.FromConfig(cfg)
-	resp.Degraded = degraded
-	if method == finbench.ClosedForm {
-		err = s.priceClosedForm(dctx, req, resp)
-	} else {
-		err = s.priceHeavy(dctx, req, method, cfg, resp)
-	}
+	resp, err := s.price(dctx, req, method, cfg)
 	wire.PutRequest(req)
 	if err != nil {
-		wire.PutPriceResponse(resp)
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.writeError(w, http.StatusRequestTimeout, "pricing deadline exceeded")
-		} else {
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
+		s.fail(w, err, "pricing")
 		return
 	}
+	resp.Degraded = degraded
 	if degraded {
 		s.stats.degradedResponses.Add(1)
 	}
 	elapsed := time.Since(start)
 	resp.ElapsedUS = elapsed.Microseconds()
 	s.stats.observeLatency(method.String(), elapsed)
+	buf = wire.GetBuffer()
 	if binaryFraming {
-		s.writePriceColumnar(w, resp)
+		body, err := wire.AppendColumnarResponse(buf.B[:0], resp)
+		if err != nil {
+			s.writeError(w, http.StatusInternalServerError, err.Error())
+		} else {
+			s.writeOK(w, headerColumnar, body, true)
+		}
+		buf.B = body
 	} else {
-		s.writePriceOK(w, resp)
+		body, ok := wire.AppendPriceResponse(buf.B[:0], resp)
+		s.writeOK(w, headerJSON, body, ok)
+		buf.B = body
 	}
+	wire.PutBuffer(buf)
 	wire.PutPriceResponse(resp)
 }
-
-// errShed marks an admission failure inside the cacheable compute path so
-// the handler answers 503 (shed) rather than 400.
-var errShed = errors.New("work budget exhausted")
 
 // servePriceCached serves a closed-form /price request through the
 // content-addressed cache: a stored entry answers immediately (hit), a
@@ -430,35 +364,21 @@ var errShed = errors.New("work budget exhausted")
 // cache's whole throughput win. The deadline context is established
 // before Do so a waiter parked on a slow leader still honors its own
 // deadline.
-func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start time.Time, req *PriceRequest, cfg finbench.Config) {
+func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start time.Time, req *wire.PriceRequest, cfg finbench.Config) {
 	defer wire.PutRequest(req)
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
+	dctx := s.deadlineCtx(r, req.DeadlineMS)
+	defer dctx.Release()
 
-	body, outcome, err := s.cache.Do(ctx, s.cacheKey(req, cfg), func(ctx context.Context) ([]byte, bool, error) {
+	body, outcome, err := s.cache.Do(dctx, s.cacheKey(req, cfg), func(ctx context.Context) ([]byte, bool, error) {
 		return s.computeCacheable(ctx, req, cfg)
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, errShed):
-			s.stats.shedAdmission.Add(1)
-			s.writeShed(w, "work budget exhausted")
-		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-			s.writeError(w, http.StatusRequestTimeout, "pricing deadline exceeded")
-		default:
-			s.writeError(w, http.StatusBadRequest, err.Error())
-		}
+		s.fail(w, err, "pricing")
 		return
 	}
 	w.Header().Set(pricecache.Header, outcome.String())
 	s.stats.observeLatency(finbench.ClosedForm.String(), time.Since(start))
-	s.writeRaw(w, http.StatusOK, body)
+	s.writeOK(w, headerJSON, body, true)
 }
 
 // computeCacheable is the singleflight leader's computation: admission,
@@ -466,39 +386,30 @@ func (s *Server) servePriceCached(w http.ResponseWriter, r *http.Request, start 
 // store replays, so a cache hit is byte-identical to the cold 200 by
 // construction. ElapsedUS stays zero — timing is transport metadata,
 // deliberately excluded from the content address.
-func (s *Server) computeCacheable(ctx context.Context, req *PriceRequest, cfg finbench.Config) ([]byte, bool, error) {
-	units, ok := s.adm.acquire(unitCost(finbench.ClosedForm, cfg, len(req.Options)), s.cfg.AdmitWait)
-	if !ok {
-		s.deg.noteShed()
-		return nil, false, errShed
-	}
-	s.deg.noteAdmit()
-	defer s.adm.release(units)
-
-	resp := wire.GetPriceResponse()
-	resp.Method = finbench.ClosedForm.String()
-	resp.Config = wire.FromConfig(cfg)
-	if err := s.priceClosedForm(ctx, req, resp); err != nil {
-		wire.PutPriceResponse(resp)
+func (s *Server) computeCacheable(ctx context.Context, req *wire.PriceRequest, cfg finbench.Config) ([]byte, bool, error) {
+	units, err := s.admit(unitCost(finbench.ClosedForm, cfg, len(req.Options)))
+	if err != nil {
 		return nil, false, err
 	}
+	defer s.adm.release(units)
+	resp, err := s.price(ctx, req, finbench.ClosedForm, cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	defer wire.PutPriceResponse(resp)
 	// The stored bytes are owned by the cache, so encode into a fresh
-	// slice, not a pooled buffer. The append encoder's output is
-	// byte-identical to the json.Encoder this replaced.
+	// slice, not a pooled buffer.
 	body, ok := wire.AppendPriceResponse(nil, resp)
 	if !ok {
-		err := json.NewEncoder(io.Discard).Encode(resp)
-		wire.PutPriceResponse(resp)
-		return nil, false, err
+		return nil, false, json.NewEncoder(io.Discard).Encode(resp)
 	}
-	wire.PutPriceResponse(resp)
 	return body, true, nil
 }
 
 // cacheKey digests the request against the server's market and the
 // resolved effective config, so any effective-config or market change
 // re-keys every entry — invalidation by construction.
-func (s *Server) cacheKey(req *PriceRequest, cfg finbench.Config) pricecache.Key {
+func (s *Server) cacheKey(req *wire.PriceRequest, cfg finbench.Config) pricecache.Key {
 	contracts := make([]pricecache.Contract, len(req.Options))
 	for i := range req.Options {
 		o := &req.Options[i]
@@ -518,67 +429,73 @@ func (s *Server) cacheKey(req *PriceRequest, cfg finbench.Config) pricecache.Key
 		}, contracts)
 }
 
-// priceClosedForm prices via the SOA batch engine: small requests go
-// through the coalescer, large ones straight to the kernel. Either way
-// the engine is LevelAdvanced, so results are bit-identical regardless of
-// batching (composition independence).
-func (s *Server) priceClosedForm(ctx context.Context, req *PriceRequest, resp *PriceResponse) error {
-	n := req.NumOptions()
-	resp.Engine = "batch-advanced"
-	if n >= s.cfg.CoalesceMaxBatch {
-		return s.priceClosedFormBypass(ctx, req, resp)
+// price computes a /price response under the effective method and
+// config into a pooled response (release it with wire.PutPriceResponse):
+// the method/config echo, then the closed-form batch engine or the
+// scalar kernels.
+func (s *Server) price(ctx context.Context, req *wire.PriceRequest, method finbench.Method, cfg finbench.Config) (*wire.PriceResponse, error) {
+	resp := wire.GetPriceResponse()
+	resp.Method = method.String()
+	resp.Config = wire.FromConfig(cfg)
+	var err error
+	if method == finbench.ClosedForm {
+		err = s.priceClosedForm(ctx, req, resp)
+	} else {
+		err = s.priceHeavy(ctx, req, method, cfg, resp)
 	}
-	t := coalesce.GetTicket(n)
-	fillInputs(t.Spots, t.Strikes, t.Expiries, req)
-	if d, ok := ctx.Deadline(); ok {
-		t.Deadline = d
+	if err != nil {
+		wire.PutPriceResponse(resp)
+		return nil, err
 	}
-	if err := s.co.Price(t); err != nil {
-		coalesce.PutTicket(t)
-		return err
-	}
-	resp.Coalesced = t.Coalesced
-	resp.BatchOptions = t.BatchN
-	resp.SizedResults(n)
-	for i := 0; i < n; i++ {
-		if req.IsPut(i) {
-			resp.Results[i].Price = t.Puts[i]
-		} else {
-			resp.Results[i].Price = t.Calls[i]
-		}
-	}
-	coalesce.PutTicket(t)
-	return nil
+	return resp, nil
 }
 
-// priceClosedFormBypass prices a request that is already a mega-batch on
-// its own, skipping the coalescer. The engine is still LevelAdvanced, so
-// results are bit-identical to the coalesced path (composition
+// priceClosedForm prices via the SOA batch engine: small requests go
+// through the coalescer, requests that are already a mega-batch on their
+// own straight to the kernel. Either way the engine is LevelAdvanced, so
+// results are bit-identical regardless of batching (composition
 // independence).
-func (s *Server) priceClosedFormBypass(ctx context.Context, req *PriceRequest, resp *PriceResponse) error {
+func (s *Server) priceClosedForm(ctx context.Context, req *wire.PriceRequest, resp *wire.PriceResponse) error {
 	n := req.NumOptions()
-	b := coalesce.GetBatch(n)
-	fillInputs(b.Spots, b.Strikes, b.Expiries, req)
-	if err := finbench.PriceBatchCtx(ctx, b, s.cfg.Market, finbench.LevelAdvanced); err != nil {
-		coalesce.PutBatch(b)
-		return err
+	resp.Engine = "batch-advanced"
+	var calls, puts []float64
+	if n >= s.cfg.CoalesceMaxBatch {
+		b := coalesce.GetBatch(n)
+		defer coalesce.PutBatch(b)
+		fillInputs(b.Spots, b.Strikes, b.Expiries, req)
+		if err := finbench.PriceBatchCtx(ctx, b, s.cfg.Market, finbench.LevelAdvanced); err != nil {
+			return err
+		}
+		resp.BatchOptions = n
+		calls, puts = b.Calls, b.Puts
+	} else {
+		t := coalesce.GetTicket(n)
+		defer coalesce.PutTicket(t)
+		fillInputs(t.Spots, t.Strikes, t.Expiries, req)
+		if d, ok := ctx.Deadline(); ok {
+			t.Deadline = d
+		}
+		if err := s.co.Price(t); err != nil {
+			return err
+		}
+		resp.Coalesced = t.Coalesced
+		resp.BatchOptions = t.BatchN
+		calls, puts = t.Calls, t.Puts
 	}
-	resp.BatchOptions = n
 	resp.SizedResults(n)
 	for i := 0; i < n; i++ {
 		if req.IsPut(i) {
-			resp.Results[i].Price = b.Puts[i]
+			resp.Results[i].Price = puts[i]
 		} else {
-			resp.Results[i].Price = b.Calls[i]
+			resp.Results[i].Price = calls[i]
 		}
 	}
-	coalesce.PutBatch(b)
 	return nil
 }
 
 // fillInputs copies the request's contracts into SOA input columns,
 // whichever framing carries them.
-func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
+func fillInputs(spots, strikes, expiries []float64, req *wire.PriceRequest) {
 	if c := req.Columnar; c != nil {
 		copy(spots, c.Spots)
 		copy(strikes, c.Strikes)
@@ -596,7 +513,7 @@ func fillInputs(spots, strikes, expiries []float64, req *PriceRequest) {
 // These methods are never coalesced: Monte Carlo results depend on the
 // batch decomposition (per-worker RNG streams), and the lattice kernels
 // gain nothing from batching across requests.
-func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbench.Method, cfg finbench.Config, resp *PriceResponse) error {
+func (s *Server) priceHeavy(ctx context.Context, req *wire.PriceRequest, method finbench.Method, cfg finbench.Config, resp *wire.PriceResponse) error {
 	resp.Engine = "scalar"
 	resp.SizedResults(len(req.Options))
 	for i := range req.Options {
@@ -613,78 +530,49 @@ func (s *Server) priceHeavy(ctx context.Context, req *PriceRequest, method finbe
 func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.stats.greeksRequests.Add(1)
-	if r.Method != http.MethodPost {
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
+	if !s.door(w, r, http.MethodPost) {
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
-		return
-	}
-	buf := wire.GetBuffer()
-	body, err := readBody(r, buf)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
+	buf := s.readBody(w, r)
+	if buf == nil {
 		return
 	}
 	// DecodeGreeksRequest validates options and rejects negative
 	// deadline_ms, matching /price.
-	req, err := wire.DecodeGreeksRequest(body)
+	req, err := wire.DecodeGreeksRequest(buf.B)
 	wire.PutBuffer(buf)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	defer wire.PutGreeksRequest(req)
 	if len(req.Options) == 0 || len(req.Options) > s.cfg.MaxOptions {
-		wire.PutGreeksRequest(req)
 		s.writeError(w, http.StatusBadRequest, "option count out of range")
 		return
 	}
-	units, ok := s.adm.acquire(int64(len(req.Options)), s.cfg.AdmitWait)
-	if !ok {
-		wire.PutGreeksRequest(req)
-		s.deg.noteShed()
-		s.stats.shedAdmission.Add(1)
-		s.writeShed(w, "work budget exhausted")
+	units, err := s.admit(int64(len(req.Options)))
+	if err != nil {
+		s.fail(w, err, "greeks")
 		return
 	}
-	s.deg.noteAdmit()
 	defer s.adm.release(units)
-
-	// The documented deadline_ms, honored: client deadline capped by the
-	// server maximum, checked between options so a huge batch cannot
+	// The deadline is checked between options so a huge batch cannot
 	// blow past an expired deadline (or a disconnected client).
-	budget := s.cfg.MaxDeadline
-	if req.DeadlineMS > 0 {
-		if d := time.Duration(req.DeadlineMS) * time.Millisecond; d < budget {
-			budget = d
-		}
-	}
-	dctx := deadline.Acquire(r.Context(), time.Now().Add(budget))
+	dctx := s.deadlineCtx(r, req.DeadlineMS)
 	defer dctx.Release()
 
 	resp := wire.GetGreeksResponse()
+	defer wire.PutGreeksResponse(resp)
 	resp.SizedResults(len(req.Options))
 	for i := range req.Options {
 		if dctx.Expired() {
-			wire.PutGreeksRequest(req)
-			wire.PutGreeksResponse(resp)
-			s.writeError(w, http.StatusRequestTimeout, "greeks deadline exceeded")
+			s.fail(w, context.DeadlineExceeded, "greeks")
 			return
 		}
 		o := &req.Options[i]
 		g, err := finbench.ComputeGreeks(o.ToOption(), s.cfg.Market)
 		if err != nil {
-			wire.PutGreeksRequest(req)
-			wire.PutGreeksResponse(resp)
-			s.writeError(w, http.StatusBadRequest, err.Error())
+			s.fail(w, err, "greeks")
 			return
 		}
 		if o.Type == "put" {
@@ -699,12 +587,14 @@ func (s *Server) handleGreeks(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i].Gamma = g.Gamma
 		resp.Results[i].Vega = g.Vega
 	}
-	wire.PutGreeksRequest(req)
 	elapsed := time.Since(start)
 	resp.ElapsedUS = elapsed.Microseconds()
 	s.stats.observeLatency("greeks", elapsed)
-	s.writeGreeksOK(w, resp)
-	wire.PutGreeksResponse(resp)
+	buf = wire.GetBuffer()
+	body, ok := wire.AppendGreeksResponse(buf.B[:0], resp)
+	s.writeOK(w, headerJSON, body, ok)
+	buf.B = body
+	wire.PutBuffer(buf)
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -737,9 +627,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, &h)
 }
 
-func (s *Server) rateAllow() bool { return s.rate.allow() }
-
-func allEuropean(opts []WireOption) bool {
+func allEuropean(opts []wire.Option) bool {
 	for i := range opts {
 		if opts[i].Style == "american" {
 			return false
@@ -748,14 +636,6 @@ func allEuropean(opts []WireOption) bool {
 	return true
 }
 
-// headerJSON and headerColumnar are preassigned Content-Type values: a
-// direct map assignment of a shared slice skips the per-request []string
-// allocation of Header().Set. net/http never mutates header value slices.
-var (
-	headerJSON     = []string{"application/json"}
-	headerColumnar = []string{wire.ColumnarContentType}
-)
-
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -763,74 +643,8 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writePriceOK writes a 200 /price body through the append encoder —
-// byte-identical to writeJSON's output, without the reflection walk. The
-// encoding/json fallback (non-finite values only) preserves the legacy
-// failure mode exactly.
-func (s *Server) writePriceOK(w http.ResponseWriter, resp *wire.PriceResponse) {
-	buf := wire.GetBuffer()
-	b, ok := wire.AppendPriceResponse(buf.B[:0], resp)
-	if !ok {
-		wire.PutBuffer(buf)
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	buf.B = b
-	w.Header()["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
-	wire.PutBuffer(buf)
-}
-
-// writeGreeksOK is writePriceOK for /greeks.
-func (s *Server) writeGreeksOK(w http.ResponseWriter, resp *wire.GreeksResponse) {
-	buf := wire.GetBuffer()
-	b, ok := wire.AppendGreeksResponse(buf.B[:0], resp)
-	if !ok {
-		wire.PutBuffer(buf)
-		s.writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	buf.B = b
-	w.Header()["Content-Type"] = headerJSON
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
-	wire.PutBuffer(buf)
-}
-
-// writePriceColumnar writes the 200 of a binary-framed columnar request
-// as a binary response frame.
-func (s *Server) writePriceColumnar(w http.ResponseWriter, resp *wire.PriceResponse) {
-	buf := wire.GetBuffer()
-	b, err := wire.AppendColumnarResponse(buf.B[:0], resp)
-	if err != nil {
-		wire.PutBuffer(buf)
-		s.writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	buf.B = b
-	w.Header()["Content-Type"] = headerColumnar
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
-	_, _ = w.Write(b)
-	wire.PutBuffer(buf)
-}
-
-// writeRaw writes pre-marshalled response bytes (the cache stores the
-// exact bytes the cold computation produced).
-func (s *Server) writeRaw(w http.ResponseWriter, code int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	s.stats.countCode(code)
-	_, _ = w.Write(body)
-}
-
 func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	var e ErrorResponse
-	e.Error = msg
-	s.writeJSON(w, code, &e)
+	s.writeJSON(w, code, &wire.ErrorResponse{Error: msg})
 }
 
 // writeShed is a 503 with Retry-After, the standard "come back later".

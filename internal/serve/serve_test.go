@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"finbench"
+	"finbench/internal/serve/wire"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -43,9 +44,9 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-func decodePrice(t *testing.T, data []byte) *PriceResponse {
+func decodePrice(t *testing.T, data []byte) *wire.PriceResponse {
 	t.Helper()
-	var out PriceResponse
+	var out wire.PriceResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatalf("decoding response: %v (%s)", err, data)
 	}
@@ -57,9 +58,9 @@ func decodePrice(t *testing.T, data []byte) *PriceResponse {
 // guarantee. Closed-form responses recompute through a 1-option
 // LevelAdvanced batch (composition independence makes that equal to any
 // coalesced mega-batch); scalar-engine responses through finbench.Price.
-func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, resp *PriceResponse) {
+func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *wire.PriceRequest, resp *wire.PriceResponse) {
 	t.Helper()
-	method, err := ParseMethod(resp.Method)
+	method, err := wire.ParseMethod(resp.Method)
 	if err != nil {
 		t.Fatalf("response method: %v", err)
 	}
@@ -95,7 +96,7 @@ func verifyAgainstLibrary(t *testing.T, mkt finbench.Market, req *PriceRequest, 
 
 func TestPriceClosedFormBitMatchesLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &PriceRequest{Options: []WireOption{
+	req := &wire.PriceRequest{Options: []wire.Option{
 		{Type: "call", Spot: 100, Strike: 105, Expiry: 0.5},
 		{Type: "put", Spot: 90, Strike: 100, Expiry: 1.25},
 		{Spot: 120, Strike: 100, Expiry: 2},
@@ -116,20 +117,20 @@ func TestPriceClosedFormBitMatchesLibrary(t *testing.T) {
 
 func TestPriceHeavyMethodsBitMatchLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	cases := []PriceRequest{
-		{Method: "binomial-tree", Options: []WireOption{
+	cases := []wire.PriceRequest{
+		{Method: "binomial-tree", Options: []wire.Option{
 			{Type: "put", Style: "american", Spot: 100, Strike: 110, Expiry: 1},
 			{Type: "call", Spot: 100, Strike: 95, Expiry: 0.5},
-		}, Config: WireConfig{BinomialSteps: 256}},
-		{Method: "crank-nicolson", Options: []WireOption{
+		}, Config: wire.Config{BinomialSteps: 256}},
+		{Method: "crank-nicolson", Options: []wire.Option{
 			{Type: "put", Style: "american", Spot: 90, Strike: 100, Expiry: 1},
-		}, Config: WireConfig{GridPoints: 128, TimeSteps: 200}},
-		{Method: "trinomial-tree", Options: []WireOption{
+		}, Config: wire.Config{GridPoints: 128, TimeSteps: 200}},
+		{Method: "trinomial-tree", Options: []wire.Option{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.75},
-		}, Config: WireConfig{BinomialSteps: 256}},
-		{Method: "monte-carlo", Options: []WireOption{
+		}, Config: wire.Config{BinomialSteps: 256}},
+		{Method: "monte-carlo", Options: []wire.Option{
 			{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5},
-		}, Config: WireConfig{MCPaths: 16384, Seed: 42}},
+		}, Config: wire.Config{MCPaths: 16384, Seed: 42}},
 	}
 	for i := range cases {
 		req := &cases[i]
@@ -159,7 +160,7 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			req := &PriceRequest{Options: []WireOption{
+			req := &wire.PriceRequest{Options: []wire.Option{
 				{Type: "call", Spot: 100 + float64(c), Strike: 100, Expiry: 0.5},
 				{Type: "put", Spot: 100, Strike: 95 + float64(c), Expiry: 1},
 			}}
@@ -179,7 +180,7 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, buf.Bytes())
 				return
 			}
-			var pr PriceResponse
+			var pr wire.PriceResponse
 			if err := json.Unmarshal(buf.Bytes(), &pr); err != nil {
 				errs[c] = err
 				return
@@ -209,10 +210,10 @@ func TestCoalescingMergesConcurrentRequests(t *testing.T) {
 
 func TestDeadlineExceededReturns408(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := &PriceRequest{
+	req := &wire.PriceRequest{
 		Method:     "monte-carlo",
-		Options:    []WireOption{{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5}},
-		Config:     WireConfig{MCPaths: 1 << 22},
+		Options:    []wire.Option{{Type: "call", Spot: 100, Strike: 100, Expiry: 0.5}},
+		Config:     wire.Config{MCPaths: 1 << 22},
 		DeadlineMS: 1,
 	}
 	resp, body := postJSON(t, ts.URL+"/price", req)
@@ -228,7 +229,7 @@ func TestDrainRefusesNewWorkAndCompletes(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	req := &wire.PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp, body := postJSON(t, ts.URL+"/price", req)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status after drain = %d, want 503: %s", resp.StatusCode, body)
@@ -248,7 +249,7 @@ func TestDrainRefusesNewWorkAndCompletes(t *testing.T) {
 
 func TestRateLimit429(t *testing.T) {
 	_, ts := newTestServer(t, Config{Rate: 1, Burst: 1})
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	req := &wire.PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	resp1, _ := postJSON(t, ts.URL+"/price", req)
 	if resp1.StatusCode != 200 {
 		t.Fatalf("first request: %d", resp1.StatusCode)
@@ -261,7 +262,7 @@ func TestRateLimit429(t *testing.T) {
 
 func TestStatszShape(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := &PriceRequest{Options: []WireOption{{Spot: 100, Strike: 100, Expiry: 1}}}
+	req := &wire.PriceRequest{Options: []wire.Option{{Spot: 100, Strike: 100, Expiry: 1}}}
 	if resp, _ := postJSON(t, ts.URL+"/price", req); resp.StatusCode != 200 {
 		t.Fatalf("price: %d", resp.StatusCode)
 	}
@@ -293,7 +294,7 @@ func TestStatszShape(t *testing.T) {
 
 func TestGreeksMatchesLibrary(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := &GreeksRequest{Options: []WireOption{
+	req := &wire.GreeksRequest{Options: []wire.Option{
 		{Type: "call", Spot: 100, Strike: 105, Expiry: 0.5},
 		{Type: "put", Spot: 100, Strike: 95, Expiry: 1},
 	}}
@@ -301,7 +302,7 @@ func TestGreeksMatchesLibrary(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var gr GreeksResponse
+	var gr wire.GreeksResponse
 	if err := json.Unmarshal(body, &gr); err != nil {
 		t.Fatal(err)
 	}
@@ -373,6 +374,44 @@ func TestAdmissionSemaphore(t *testing.T) {
 		t.Fatalf("oversized acquire: %d, %v", got, ok)
 	}
 	a.release(got)
+}
+
+// TestAdmissionTimeoutGrantsWaitersBehind: a queued waiter that times out
+// must not keep blocking the waiters behind it. With 60/100 units held, a
+// 50-unit waiter (short wait) sits ahead of a 10-unit waiter that fits;
+// once the head leaves, the 10-unit waiter is granted at once instead of
+// waiting for the next release (or being shed when its own wait ends).
+func TestAdmissionTimeoutGrantsWaitersBehind(t *testing.T) {
+	a := newAdmission(100)
+	if _, ok := a.acquire(60, 0); !ok {
+		t.Fatal("first acquire failed")
+	}
+	head := make(chan bool)
+	go func() {
+		_, ok := a.acquire(50, 5*time.Millisecond)
+		head <- ok
+	}()
+	for a.queued() != 1 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	behind := make(chan bool)
+	go func() {
+		_, ok := a.acquire(10, time.Second)
+		behind <- ok
+	}()
+	if <-head {
+		t.Fatal("50-unit waiter admitted over a 100-unit budget with 60 held")
+	}
+	start := time.Now()
+	if !<-behind {
+		t.Fatal("10-unit waiter shed although it fit once the head timed out")
+	}
+	if wait := time.Since(start); wait > 500*time.Millisecond {
+		t.Errorf("10-unit waiter granted %v after the head left, want promptly", wait)
+	}
+	if got := a.inFlight(); got != 70 {
+		t.Errorf("inFlight = %d, want 70", got)
+	}
 }
 
 func TestDegradeHysteresis(t *testing.T) {

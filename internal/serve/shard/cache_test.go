@@ -11,6 +11,7 @@ import (
 
 	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
+	"finbench/internal/serve/wire"
 )
 
 // TestRouterCacheHitByteIdentity: through the router, a cache-hit 200
@@ -238,7 +239,7 @@ func TestRouterCacheVsDirectBitIdentical(t *testing.T) {
 	if dresp.StatusCode != 200 {
 		t.Fatalf("direct status %d", dresp.StatusCode)
 	}
-	var a, b serve.PriceResponse
+	var a, b wire.PriceResponse
 	if err := json.Unmarshal(hit, &a); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"finbench/internal/resilience"
-	"finbench/internal/serve"
 	"finbench/internal/serve/pricecache"
 	"finbench/internal/serve/wire"
 )
@@ -249,6 +248,10 @@ type reqState struct {
 	attempts atomic.Int32
 }
 
+func newReqState() *reqState {
+	return &reqState{excluded: make(map[*replica]bool), inUse: make(map[*replica]int)}
+}
+
 // backendResult is one backend response, fully read.
 type backendResult struct {
 	status     int
@@ -360,10 +363,7 @@ func (r *Router) dispatch(ctx context.Context, method, path, ctype string, body 
 		hedgeN = 2
 	}
 
-	out := &routeResult{st: &reqState{
-		excluded: make(map[*replica]bool),
-		inUse:    make(map[*replica]int),
-	}}
+	out := &routeResult{st: newReqState()}
 	err := resilience.Retry(ctx, attempts, r.cfg.Backoff, r.budget, func(ctx context.Context, attempt int) error {
 		if attempt > 0 {
 			out.retries++
@@ -471,11 +471,11 @@ func (r *Router) routeCached(ctx context.Context, w http.ResponseWriter, method 
 // identical for identical requests). Only closed-form is cacheable: the
 // same composition-independence rule as the replica tier.
 func routerCacheKey(body []byte) (pricecache.Key, bool) {
-	req, _, err := serve.DecodeRequest(body)
+	req, _, err := wire.DecodeRequest(body)
 	if err != nil {
 		return pricecache.Key{}, false
 	}
-	defer serve.PutRequest(req)
+	defer wire.PutRequest(req)
 	// Columnar bodies bypass: their 200 bytes are not the cached JSON.
 	if (req.Method != "" && req.Method != "closed-form") || req.Columnar != nil {
 		return pricecache.Key{}, false
@@ -643,7 +643,8 @@ func (r *Router) exclude(st *reqState, rep *replica) {
 // then untried-but-busy ones, and as a last resort a replica that
 // already failed this request — a lone replica with a transient 500 is
 // still worth a backoff-spaced retry, but never ahead of a live
-// alternative. Returns nil when nothing is admissible.
+// alternative. Returns nil when nothing is admissible. The stream relay
+// picks the same way, with the replica whose stream just ended excluded.
 func (r *Router) pick(st *reqState) *replica {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -671,7 +672,7 @@ func (r *Router) pick(st *reqState) *replica {
 				best, bestScore = rep, score
 			}
 		}
-		// finlint:ignore leakcheck the Allow admitted here is settled by attemptOnce, which calls Success/Failure on every response path of the routed attempt
+		// finlint:ignore leakcheck the Allow admitted here is settled by the caller's attempt, attemptOnce for a routed request or relayOnce for a stream subscription, each calling Success or Failure on every outcome
 		if best != nil && best.breaker.Allow() {
 			st.inUse[best]++
 			return best

@@ -97,7 +97,7 @@ func TestRoutedBitIdentical(t *testing.T) {
 		if dresp.StatusCode != 200 {
 			t.Fatalf("direct status %d", dresp.StatusCode)
 		}
-		var a, b serve.PriceResponse
+		var a, b wire.PriceResponse
 		if err := json.Unmarshal(routed, &a); err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestCorrupt200NeverForwarded(t *testing.T) {
 		if !json.Valid(body) {
 			t.Fatalf("request %d: router forwarded a corrupt 200: %q", i, body)
 		}
-		var pr serve.PriceResponse
+		var pr wire.PriceResponse
 		if err := json.Unmarshal(body, &pr); err != nil || len(pr.Results) != 2 {
 			t.Fatalf("request %d: implausible 200 body %q", i, body)
 		}
@@ -503,7 +503,7 @@ func TestPassThrough4xx(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty options: %d %s", resp.StatusCode, body)
 	}
-	var e serve.ErrorResponse
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Errorf("error body not passed through: %q", body)
 	}

@@ -224,7 +224,14 @@ func (r *Router) relayPartition(ctx context.Context, contracts string, merged ch
 			return
 		default:
 		}
-		rep := r.pickStreamReplica(last)
+		// A fresh routing state that excludes the replica whose stream
+		// just ended, so a failover lands elsewhere when it can; pick's
+		// last tier still takes a lone replica.
+		st := newReqState()
+		if last != nil {
+			st.excluded[last] = true
+		}
+		rep := r.pick(st)
 		if rep == nil {
 			if !sleepCtx(ctx, r.stop, streamRetryDelay) {
 				return
@@ -249,38 +256,10 @@ func (r *Router) relayPartition(ctx context.Context, contracts string, merged ch
 	}
 }
 
-// pickStreamReplica chooses the least-loaded routable replica the breaker
-// admits, preferring one other than `avoid` (the replica whose stream
-// just ended) so a failover actually fails over — a lone replica is still
-// acceptable on the second pass.
-func (r *Router) pickStreamReplica(avoid *replica) *replica {
-	for pass := 0; pass < 2; pass++ {
-		var best *replica
-		var bestScore int64
-		for _, rep := range r.replicas {
-			if !rep.routable() {
-				continue
-			}
-			if pass == 0 && rep == avoid {
-				continue
-			}
-			score := rep.inflight.Load()*1_000_000 + rep.loadUnits.Load()
-			if best == nil || score < bestScore {
-				best, bestScore = rep, score
-			}
-		}
-		// finlint:ignore leakcheck the Allow admitted here is settled by relayOnce, which calls Success or Failure on every outcome of the subscription attempt
-		if best != nil && best.breaker.Allow() {
-			return best
-		}
-	}
-	return nil
-}
-
 // relayOnce subscribes one partition to rep and forwards its frames until
 // the upstream stream ends; it reports whether the stream was ever
 // established (at least one frame forwarded). The breaker admission from
-// pickStreamReplica is settled exactly once, on the subscription outcome:
+// pick is settled exactly once, on the subscription outcome:
 // shedding (503/429) is load, not brokenness; transport failure and 5xx
 // are failures; an established stream ending later is settled by the next
 // pick, not double-counted here.

@@ -26,22 +26,11 @@ import (
 // pin its handler (and block the server's drain) indefinitely.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	s.stats.streamRequests.Add(1)
-	if r.Method != http.MethodGet {
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	if s.hub == nil {
+	if r.Method == http.MethodGet && s.hub == nil {
 		s.writeError(w, http.StatusNotFound, "streaming disabled")
 		return
 	}
-	if s.draining.Load() {
-		s.stats.shedDrain.Add(1)
-		s.writeShed(w, "server is draining")
-		return
-	}
-	if !s.rateAllow() {
-		s.stats.shedRate.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, "request rate limit exceeded")
+	if !s.door(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()
@@ -66,11 +55,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer s.hub.Unsubscribe(sub)
 
 	rc := http.NewResponseController(w)
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	s.stats.countCode(http.StatusOK)
+	w.Header().Set("Cache-Control", "no-store")
+	s.writeOK(w, headerEventStream, nil, true)
 
 	s.streamActive.Add(1)
 	defer s.streamActive.Add(-1)

@@ -156,9 +156,9 @@ var (
 // inputs double as the dirty baseline; priced=false (never repriced)
 // is unconditionally dirty.
 type contractState struct {
-	spot, vol, rate                   float64
+	spot, vol, rate                       float64
 	price, delta, gamma, vega, theta, rho float64
-	priced                            bool
+	priced                                bool
 }
 
 // mover is one dirty contract and its scaled move magnitude.

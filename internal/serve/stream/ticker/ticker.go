@@ -52,13 +52,13 @@ func (s *State) CopyFrom(src *State) {
 const tickerTag = 0x71c3
 
 const (
-	defaultSpot0 = 100.0
-	spotStep     = 0.0015 // per-tick lognormal step stdev (~0.15%)
-	volRevert    = 0.02   // pull toward vol0 per tick
-	volStep      = 0.0004
-	volMin, volMax = 0.05, 1.5
-	rateRevert     = 0.02
-	rateStep       = 0.00005
+	defaultSpot0     = 100.0
+	spotStep         = 0.0015 // per-tick lognormal step stdev (~0.15%)
+	volRevert        = 0.02   // pull toward vol0 per tick
+	volStep          = 0.0004
+	volMin, volMax   = 0.05, 1.5
+	rateRevert       = 0.02
+	rateStep         = 0.00005
 	rateMin, rateMax = 0.0, 0.2
 )
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # scripts/check.sh — the repo's full verification gate.
 #
-# Runs, in order: go vet, go build, the benchreg performance gate (a
+# Runs, in order: gofmt, go vet, go build, the benchreg performance gate (a
 # fresh short-mode snapshot checked against the committed baseline
 # BENCH_0.json; see README "Continuous benchmarking"), the tier-1 test
-# suite at GOMAXPROCS=1, 2 and 4, the race detector over the concurrency-heavy packages, the fuzz
+# suite at GOMAXPROCS=1, 2 and 4, the nested finservebench module's vet and
+# tests, the race detector over the concurrency-heavy packages, the fuzz
 # seed corpora, the finserve e2e smoke gate (scripts/e2e_smoke.sh; see
 # README "Serving"), the chaos smoke gate (scripts/chaos_smoke.sh; the
 # sharded router under seeded fault injection and a replica kill — see
@@ -29,6 +30,14 @@ cd "$(dirname "$0")/.."
 # both wasted time and added compile jitter to a timing-sensitive stage.
 TOOL_DIR="$(mktemp -d)"
 trap 'rm -rf "$TOOL_DIR"' EXIT
+
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "$unformatted" ]]; then
+	echo "error: gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -70,6 +79,12 @@ for procs in 1 2 4; do
 	echo "==> tier-1: GOMAXPROCS=$procs go test -count=1 ./..."
 	GOMAXPROCS=$procs go test -count=1 -timeout 10m ./...
 done
+
+# finservebench is a nested module (its go.mod replaces finbench with this
+# checkout), so the root `go test ./...` never compiles it although it
+# imports the serving packages.
+echo "==> finservebench module: go vet + go test"
+(cd finservebench && go vet ./... && go test -count=1 ./...)
 
 if [[ "${CHECK_QUICK:-0}" == "1" ]]; then
 	echo "==> CHECK_QUICK=1: skipping race detector, fuzz seed, e2e and chaos smoke stages"
